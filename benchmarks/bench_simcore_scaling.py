@@ -23,14 +23,12 @@ which writes ``BENCH_simcore.json`` (``BENCH_simcore-smoke.json`` for
 from __future__ import annotations
 
 import functools
-import os
 import sys
 import time
-from contextlib import contextmanager
 
 from repro.apps.ad_network import AdWorkload, run_ad_network
 from repro.bench import BenchReport, JsonReporter, run_bench, sweep
-from repro.sim import KERNELS, SimProfiler, make_simulator
+from repro.sim import SimProfiler, events_ref, make_simulator
 
 # Kernel microbench: ACTORS concurrent self-rescheduling event chains,
 # run until the storm has fired this many actor events.
@@ -48,6 +46,9 @@ SMOKE_ENTRIES = 120
 SMOKE_BATCH = 30
 FIG12_STRATEGIES = ("uncoordinated", "seal", "independent-seal")
 SEED = 7
+# the shipped kernel (built through make_simulator) and the seed
+# scheduler it replaced, constructed directly as the reference
+KERNELS = ("fast", "ref")
 
 # Checked-in regression floor for CI (``bench-simcore-smoke``): fast-
 # kernel storm throughput in events/second.  Local runs measure
@@ -58,20 +59,6 @@ EVENTS_PER_SECOND_FLOOR = 2_500.0
 # seconds, not minutes.  Local runs measure 9-15s per cell; the budget
 # is per cell and generous for slow runners.
 FULL_FIG12_WALL_BUDGET = 120.0
-
-
-@contextmanager
-def _kernel(name: str):
-    """Route :func:`make_simulator` onto one kernel for the block."""
-    previous = os.environ.get("REPRO_SIM_KERNEL")
-    os.environ["REPRO_SIM_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_KERNEL", None)
-        else:
-            os.environ["REPRO_SIM_KERNEL"] = previous
 
 
 def _noop() -> None:
@@ -88,7 +75,9 @@ def measure_kernel(*, kernel: str, events: int) -> dict:
     same storm (same RNG draws, same event order); ``fired`` and the
     final virtual time double as a bench-scale differential check.
     """
-    with _kernel(kernel):
+    if kernel == "ref":
+        sim = events_ref.Simulator(seed=SEED)
+    else:
         sim = make_simulator(seed=SEED)
     # the zero-overhead-when-disabled contract: no hub is active, so the
     # storm measures the bare kernel — the floor below holds with the

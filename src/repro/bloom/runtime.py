@@ -50,14 +50,13 @@ running first so a self-replacement is not lost.  The regression test
     engines produce identical fixpoints on randomized programs, and
     ``benchmarks/bench_fixpoint_scaling.py`` measures the gap.
 
-Select the engine per runtime (``BloomRuntime(module, engine="naive")``)
-or process-wide with ``REPRO_BLOOM_ENGINE``.
+Select the engine per runtime (``BloomRuntime(module, engine="naive")``);
+every cluster substrate uses the default.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections.abc import Callable, Iterable
 
 from repro.bloom.ast import DeltaContext
@@ -71,7 +70,6 @@ __all__ = ["BloomRuntime", "ENGINES", "DEFAULT_ENGINE"]
 ChannelSend = Callable[[str, str, tuple], None]
 
 DEFAULT_ENGINE = "incremental"
-ENGINE_ENV_VAR = "REPRO_BLOOM_ENGINE"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,8 +98,7 @@ class BloomRuntime:
     ``on_channel_send(channel, address, row)`` is invoked for every tuple
     an async rule inserts into a channel; the cluster layer routes it over
     the simulated network.  ``engine`` picks the evaluation engine (see
-    the module docstring); it defaults to ``$REPRO_BLOOM_ENGINE`` or
-    ``"incremental"``.
+    the module docstring); it defaults to ``"incremental"``.
     """
 
     def __init__(
@@ -131,7 +128,7 @@ class BloomRuntime:
         self._end_rules = tuple(
             info for info in self.rule_infos if not info.rule.instantaneous
         )
-        engine = engine or os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
+        engine = engine or DEFAULT_ENGINE
         try:
             engine_cls = ENGINES[engine]
         except KeyError:

@@ -6,7 +6,9 @@ served on every identical rerun.  Entries are addressed purely by
 content: the cache key is a sha256 over the canonical JSON of
 
 * the cache schema version (:data:`CACHE_SCHEMA_VERSION`) and the
-  library version — bumping either orphans every old entry;
+  source fingerprint (:func:`source_fingerprint`, a digest of every
+  ``repro`` module) — bumping the one or editing any module orphans
+  every old entry, so a code change can never be served a stale cell;
 * the caller-supplied key fields — for an audit cell that is the app,
   strategy, *compiled* fault-schedule digest, horizon, seeds, and a
   digest of the runner kwargs; for a generic bench cell the bench name
@@ -25,6 +27,8 @@ persist next to the objects in ``stats.json`` for ``blazes stats
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import os
 import shutil
@@ -44,11 +48,13 @@ __all__ = [
     "read_engine_stats",
     "record_engine_stats",
     "schedule_digest",
+    "source_fingerprint",
 ]
 
 # v2: audit-cell metrics gained the envelope status fields
 # (status / in_envelope / envelope_violations)
-CACHE_SCHEMA_VERSION = 2
+# v3: keys cover the code (source_fingerprint), not the library version
+CACHE_SCHEMA_VERSION = 3
 CACHE_DIR_ENV = "BLAZES_CACHE_DIR"
 STATS_FILE = "stats.json"
 
@@ -56,6 +62,22 @@ STATS_FILE = "stats.json"
 def default_cache_dir() -> Path:
     """Where cached cells live: ``$BLAZES_CACHE_DIR`` or ``.blazes-cache``."""
     return Path(os.environ.get(CACHE_DIR_ENV, ".blazes-cache"))
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint(root: Path | None = None) -> str:
+    """A sha256 over the sorted ``**/*.py`` sources under ``root``.
+
+    ``root`` defaults to the installed ``repro`` package, so the digest
+    names the code every cached cell was computed by.  It is computed
+    once per process and root.
+    """
+    base = root if root is not None else Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(base.rglob("*.py")):
+        digest.update(path.relative_to(base).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def kwargs_digest(kwargs: Mapping[str, Any]) -> str:
@@ -108,12 +130,10 @@ class CellCache:
     # ------------------------------------------------------------------
     def key(self, fields: Mapping[str, Any]) -> str:
         """The content address of one cell."""
-        from repro import __version__
-
         return content_digest(
             {
                 "cache_schema": CACHE_SCHEMA_VERSION,
-                "library": __version__,
+                "source": source_fingerprint(),
                 **fields,
             }
         )

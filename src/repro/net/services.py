@@ -3,13 +3,13 @@
 Three layers make a socket run look exactly like a simulated one to the
 apps:
 
-* :class:`NetSimulator` — implements the :class:`repro.sim.events.Simulator`
-  interface (``now``/``rng``/``schedule``/``post``/``waker``/``run``) on
-  the wall clock: a virtual timer becomes an asyncio ``call_at`` at
-  ``epoch + when * time_scale``, and ``now`` is read back off the running
-  loop.  Determinism of *decisions* survives (every random draw still
-  flows through the seeded ``rng``); determinism of *interleavings* does
-  not — which is the point of running on a real transport.
+* :class:`NetSimulator` — the :class:`repro.sim.events.Simulator`
+  itself, paced by the wall clock: its event heap drains whenever the
+  head record's ``epoch + time * time_scale`` comes due on the asyncio
+  loop, and ``now`` is read back off the running loop.
+  Determinism of *decisions* survives (every random draw still flows
+  through the seeded ``rng``); determinism of *interleavings* does not —
+  which is the point of running on a real transport.
 * :class:`SocketNetwork` — the :class:`repro.sim.network.Network`
   contract over TCP.  ``send`` encodes a frame and hands it to the
   transport; the receiving endpoint feeds it to the destination node's
@@ -22,8 +22,8 @@ apps:
   :class:`~repro.net.transport.Endpoint` per node, one
   :class:`NodeService` mailbox task per node, the chaos watcher), runs
   the workload to **wall-clock quiescence** — the socket backend's
-  replacement for the simulator's empty-heap condition: no armed virtual
-  timers, no frames in flight, no queued mailbox work, sustained for
+  replacement for the simulator's empty-heap condition: no live
+  events, no frames in flight, no queued mailbox work, sustained for
   ``quiet_checks`` consecutive polls — then tears everything down.
 
 A wall-clock budget (``NetConfig.timeout``) bounds the whole run: on
@@ -34,8 +34,6 @@ raised, carrying enough state for a partial run directory.
 from __future__ import annotations
 
 import asyncio
-import collections
-import random
 from collections.abc import Callable
 from typing import Any
 
@@ -44,7 +42,7 @@ from repro.net import frames
 from repro.net.chaosproxy import ChaosProxy
 from repro.net.context import NetConfig
 from repro.net.transport import TcpTransport
-from repro.sim.events import Waker
+from repro.sim.events import EventHandle, Simulator
 from repro.sim.network import Message, Network
 
 __all__ = [
@@ -73,52 +71,26 @@ class SocketTimeout(SimulationError):
         self.pending = pending
 
 
-class _NetTimer:
-    """One virtual timer: the socket backend's event record.
+class NetSimulator(Simulator):
+    """The discrete-event kernel, paced by the wall clock.
 
-    Compatible with the handle surface of
-    :class:`repro.sim.events.EventHandle` (``time``/``cancel``), so
-    chaos-injector code holding handles works unchanged.
-    """
-
-    __slots__ = ("sim", "time", "fn", "args", "handle", "armed", "done", "cancelled")
-
-    def __init__(self, sim: "NetSimulator", time: float, fn, args) -> None:
-        self.sim = sim
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.handle = None
-        self.armed = False
-        self.done = False
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the timer from firing (no-op if it already fired)."""
-        if self.done or self.cancelled:
-            return
-        self.cancelled = True
-        if self.handle is not None:
-            self.handle.cancel()
-            self.handle = None
-        self.sim._drop(self)
-
-    def __repr__(self) -> str:
-        state = (
-            "cancelled" if self.cancelled else "fired" if self.done else "pending"
-        )
-        return f"_NetTimer(t={self.time:.6f}, {state})"
-
-
-class NetSimulator:
-    """The Simulator interface on the wall clock.
-
+    The heap, handles, wakers, counters, and profiler hook are the
+    inherited :class:`~repro.sim.events.Simulator`'s; only the way time
+    advances differs (the precedent is SimPy's ``RealtimeEnvironment``).
     Virtual time maps onto wall time as ``wall = epoch + virtual *
-    time_scale``; ``now`` inverts that against the running loop, and is
-    frozen at 0.0 before :meth:`run` and at the final time after.  Timers
-    scheduled before the run (workloads, chaos schedules) are buffered
-    and armed when the loop starts — the same "schedule then run" shape
-    the discrete-event kernel has.
+    time_scale``.  One asyncio ``call_at`` is armed at the head record's
+    wall time; when it fires, :meth:`_drain` runs everything due through
+    the inherited :meth:`Simulator.run` and re-arms.  Events at one
+    virtual instant therefore fire in post order, exactly as on the DES
+    backend.
+
+    ``now`` is read off the running loop, so a callback that fires late
+    schedules relative to when it actually ran: the wall clock paces, the
+    heap orders.  It is 0.0 before :meth:`run` and frozen at the final
+    time after.
+    Events posted before the run (workloads, chaos schedules) wait in the
+    heap until the loop starts — the same "schedule then run" shape the
+    discrete-event kernel has.
 
     One instance supports one :meth:`run`: a socket topology's dedup and
     session state cannot be resumed meaningfully, and no cluster
@@ -128,120 +100,89 @@ class NetSimulator:
     kernel = "socket"
 
     def __init__(self, seed: int = 0, config: NetConfig | None = None) -> None:
-        self.seed = seed
-        self.rng = random.Random(seed)
+        super().__init__(seed)
         self.config = config or NetConfig()
-        self.telemetry = None
         self.network: SocketNetwork | None = None
-        self._profiler = None
-        self._timers: set[_NetTimer] = set()
-        self._live = 0
-        self._armed = 0
-        self._fired = 0
-        self._now = 0.0
         self._running = False
+        self._draining = False
         self._ran = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch = 0.0
+        self._until: float | None = None
+        self._max_events: int | None = None
+        # the loop's one timer handle, armed at the head record's wall time
+        self._wakeup: asyncio.TimerHandle | None = None
         self._error: BaseException | None = None
 
-    # ------------------------------------------------------------------
-    # Simulator interface: clock and counters
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        if not self._running:
-            return self._now
-        return (self._loop.time() - self._epoch) / self.config.time_scale
-
-    @property
-    def pending(self) -> int:
-        """Number of live timers (cancelled ones excluded)."""
-        return self._live
-
-    @property
-    def fired(self) -> int:
-        """Number of timers executed so far."""
-        return self._fired
-
-    @property
-    def profiler(self):
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-
-    # ------------------------------------------------------------------
-    # Simulator interface: scheduling
-    # ------------------------------------------------------------------
-    def _push(self, time: float, fn: Callable, args: tuple) -> _NetTimer:
-        timer = _NetTimer(self, time, fn, args)
-        self._timers.add(timer)
-        self._live += 1
         if self._running:
-            self._arm(timer)
-        return timer
+            return (self._loop.time() - self._epoch) / self.config.time_scale
+        return self._now
 
-    def _arm(self, timer: _NetTimer) -> None:
-        wall = self._epoch + timer.time * self.config.time_scale
-        timer.armed = True
-        self._armed += 1
-        timer.handle = self._loop.call_at(wall, self._fire, timer)
+    @now.setter
+    def now(self, value: float) -> None:
+        self._now = value
 
-    def _drop(self, timer: _NetTimer) -> None:
-        self._timers.discard(timer)
-        self._live -= 1
-        if timer.armed:
-            timer.armed = False
-            self._armed -= 1
+    # ------------------------------------------------------------------
+    # scheduling: the inherited heap plus one loop timer at its head
+    # ------------------------------------------------------------------
+    def _push(self, time: float, fn: Callable, args: tuple) -> list:
+        rec = super()._push(time, fn, args)
+        if self._running and not self._draining:
+            wakeup = self._wakeup
+            if wakeup is None or self._wall(time) < wakeup.when():
+                self._arm()
+        return rec
 
-    def _fire(self, timer: _NetTimer) -> None:
-        if timer.cancelled or timer.done or not self._running:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> EventHandle:
+        """Schedule ``action`` at virtual time ``time`` (at once if past)."""
+        return EventHandle(self, self._push(max(time, self.now), action, ()))
+
+    def post_at(self, time: float, fn: Callable, *args) -> None:
+        """Fire-and-forget at virtual time ``time`` (at once if past).
+
+        The absolute deadline is pushed as is: ``now + (time - now)``
+        can round, and would reorder records sharing a deadline.
+        """
+        self._push(max(time, self.now), fn, args)
+
+    def _wall(self, time: float) -> float:
+        return self._epoch + time * self.config.time_scale
+
+    def _arm(self) -> None:
+        """Point the loop timer at the head record, if it is runnable."""
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._wakeup = None
+        if not self._queue:
             return
-        timer.done = True
-        self._timers.discard(timer)
-        self._live -= 1
-        self._armed -= 1
-        self._fired += 1
-        if self._profiler is not None:
-            self._profiler._note_fire(timer.fn, self._armed)
+        head = self._queue[0][0]
+        if self._until is not None and head > self._until:
+            return
+        if self._max_events is not None and self._fired >= self._max_events:
+            return
+        self._wakeup = self._loop.call_at(self._wall(head), self._drain)
+
+    def _drain(self) -> None:
+        """Fire every record due by the wall clock, then re-arm."""
+        self._wakeup = None
+        until = self.now if self._until is None else min(self.now, self._until)
+        budget = None if self._max_events is None else self._max_events - self._fired
+        self._draining = True
         try:
-            timer.fn(*timer.args)
+            Simulator.run(self, until=until, max_events=budget)
         except BaseException as exc:  # noqa: BLE001 - surfaces after teardown
             self._record_error(exc)
+            return
+        finally:
+            self._draining = False
+        self._arm()
 
     def _record_error(self, exc: BaseException) -> None:
         """Capture the first callback failure; the run loop aborts on it."""
         if self._error is None:
             self._error = exc
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> _NetTimer:
-        """Schedule ``action`` to fire ``delay`` virtual units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self.now + delay, action, ())
-
-    def schedule_at(self, time: float, action: Callable[[], None]) -> _NetTimer:
-        """Schedule ``action`` at absolute virtual time ``time``."""
-        return self.schedule(max(0.0, time - self.now), action)
-
-    def post(self, delay: float, fn: Callable, *args) -> None:
-        """Fire-and-forget: schedule ``fn(*args)`` with no handle kept."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._push(self.now + delay, fn, args)
-
-    def post_at(self, time: float, fn: Callable, *args) -> None:
-        """Fire-and-forget scheduling at an absolute virtual time."""
-        self.post(max(0.0, time - self.now), fn, *args)
-
-    def waker(self, delay: float, fn: Callable[[], None]) -> Waker:
-        """A coalesced wakeup timer (the kernel-shared :class:`Waker`)."""
-        return Waker(self, delay, fn)
-
-    def step(self) -> bool:  # pragma: no cover - interface parity
-        raise SimulationError("the socket backend has no single-step mode")
 
     # ------------------------------------------------------------------
     # network construction (the make_network funnel)
@@ -261,7 +202,7 @@ class NetSimulator:
         """Bring the services up, run to quiescence, tear down.
 
         Mirrors the discrete-event ``run``: ``until`` bounds virtual
-        time, ``max_events`` bounds fired timers, and the return value is
+        time, ``max_events`` bounds fired events, and the return value is
         the final virtual time.  Additionally ``NetConfig.timeout``
         bounds *wall* time; expiry raises :class:`SocketTimeout` after a
         clean teardown.
@@ -271,7 +212,9 @@ class NetSimulator:
                 "a socket-backed cluster runs once; build a new cluster"
             )
         self._ran = True
-        status = asyncio.run(self._main(until, max_events))
+        self._until = until
+        self._max_events = max_events
+        status = asyncio.run(self._main())
         if self._error is not None:
             raise self._error
         if status == "timeout":
@@ -283,7 +226,7 @@ class NetSimulator:
             )
         return self._now
 
-    async def _main(self, until: float | None, max_events: int | None) -> str:
+    async def _main(self) -> str:
         self._loop = asyncio.get_running_loop()
         self._epoch = self._loop.time()
         self._running = True
@@ -295,33 +238,25 @@ class NetSimulator:
                 await cluster.start()
             # pre-run state goes live in its scheduling order: buffered
             # sends first, then on_start hooks (which send live), then
-            # the buffered timers (workloads, chaos schedules)
+            # the heap (workloads, chaos schedules)
             if network is not None:
                 network._flush_outbox()
                 network._run_start_hooks()
-            for timer in list(self._timers):
-                if not timer.armed:
-                    self._arm(timer)
-            status = await self._wait(until, max_events, cluster)
+            self._arm()
+            status = await self._wait()
         finally:
-            self._finish(status, until)
+            self._finish(status)
             if cluster is not None:
                 await cluster.stop()
         return status
 
-    async def _wait(
-        self,
-        until: float | None,
-        max_events: int | None,
-        cluster: "ServiceCluster | None",
-    ) -> str:
+    async def _wait(self) -> str:
         config = self.config
-        deadline = (
-            None if until is None else self._epoch + until * config.time_scale
-        )
+        deadline = None if self._until is None else self._wall(self._until)
         budget = (
             None if config.timeout is None else self._loop.time() + config.timeout
         )
+        network = self.network
         quiet = 0
         while True:
             if self._error is not None:
@@ -329,12 +264,12 @@ class NetSimulator:
             wall = self._loop.time()
             if budget is not None and wall >= budget:
                 return "timeout"
-            if max_events is not None and self._fired >= max_events:
+            if self._max_events is not None and self._fired >= self._max_events:
                 return "max_events"
             if deadline is not None and wall >= deadline:
                 return "until"
-            if self._armed == 0 and (cluster is None or not cluster.busy()):
-                # quiescent means *sustained* quiet: no armed timers and
+            if self.pending == 0 and (network is None or not network.busy()):
+                # quiescent means *sustained* quiet: no live events and
                 # nothing in flight, over quiet_checks consecutive polls
                 # (one quiet instant can be a frame between two hops)
                 quiet += 1
@@ -344,25 +279,18 @@ class NetSimulator:
                 quiet = 0
             await asyncio.sleep(config.poll_interval)
 
-    def _finish(self, status: str, until: float | None) -> None:
-        current = (self._loop.time() - self._epoch) / self.config.time_scale
+    def _finish(self, status: str) -> None:
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._wakeup = None
+        current, until = self.now, self._until
         if until is not None:
-            current = min(current, until)
-        # a quiescent bounded run ends *at* the bound, as the DES does
-        if until is not None and status in ("quiescent", "until"):
-            self._now = until
-        else:
-            self._now = current
+            # a quiescent bounded run ends *at* the bound, as the DES does
+            quiet = status in ("quiescent", "until")
+            current = until if quiet else min(current, until)
+        # unfired records stay pending in the heap
+        self._now = current
         self._running = False
-        # orphan the loop-bound handles; the timers stay pending
-        for timer in self._timers:
-            if timer.armed:
-                timer.armed = False
-                timer.handle = None
-        self._armed = 0
-
-    def __repr__(self) -> str:
-        return f"NetSimulator(now={self.now:.6f}, pending={self.pending})"
 
 
 class SocketNetwork(Network):
@@ -378,11 +306,11 @@ class SocketNetwork(Network):
     Delivery side: the endpoint's mailbox hands the frame back here, and
     the *inherited* ``Network._deliver`` runs — same policy module, same
     counters, same telemetry sites as the simulator.  Reliable kinds
-    deliver through a per-``(src, dst)`` FIFO chain — each frame's
-    delivery timer is armed only after its predecessor delivers — because
-    the session layer they model is ordered, which the simulator's
-    independent latency draws do not guarantee but a TCP-backed session
-    does.  (A blocked link still sends individual messages through the
+    deliver FIFO per ``(src, dst)``, because the session layer they model
+    is ordered, which the simulator's independent latency draws do not
+    guarantee but a TCP-backed session does: each link's delivery
+    deadline never decreases, and the heap fires equal deadlines in post
+    order.  (A blocked link still sends individual messages through the
     shared retry policy, so ordering across a partition matches the
     simulator's retry semantics, not strict FIFO.)
     """
@@ -394,9 +322,8 @@ class SocketNetwork(Network):
         self.services: dict[str, NodeService] = {}
         self._outbox: list[dict] = []
         self._seqs: dict[tuple[str, str], int] = {}
-        # per-(src, dst) FIFO delivery chains for reliable kinds
-        self._chains: dict[tuple[str, str], collections.deque] = {}
-        self._chain_live: set[tuple[str, str]] = set()
+        # per-(src, dst) delivery deadline of the last reliable frame
+        self._fifo: dict[tuple[str, str], float] = {}
         self._start_requested = False
         self._started = False
 
@@ -464,36 +391,13 @@ class SocketNetwork(Network):
         )
         deliver_at = frame["at"]
         if frame.get("seq") is not None:
-            # reliable sessions deliver FIFO: a frame's delivery timer is
-            # armed only once its predecessor on this (src, dst) session
-            # has delivered, so ordering never depends on timer
-            # tie-breaking at equal deadlines
+            # reliable sessions deliver FIFO: the link's deadline never
+            # decreases, and equal deadlines fire in post order
             key = (msg.src, msg.dst)
-            self._chains.setdefault(key, collections.deque()).append(
-                (deliver_at, msg)
-            )
-            if key not in self._chain_live:
-                self._chain_live.add(key)
-                self._advance_chain(key)
-            return
+            deliver_at = max(deliver_at, self._fifo.get(key, deliver_at))
+            self._fifo[key] = deliver_at
         # Network._deliver: the simulator's own delivery-policy code
-        self.sim.post(max(0.0, deliver_at - self.sim.now), self._deliver, msg)
-
-    def _advance_chain(self, key: tuple[str, str]) -> None:
-        chain = self._chains.get(key)
-        if not chain:
-            self._chain_live.discard(key)
-            return
-        deliver_at, msg = chain.popleft()
-        self.sim.post(
-            max(0.0, deliver_at - self.sim.now), self._deliver_chained, key, msg
-        )
-
-    def _deliver_chained(self, key: tuple[str, str], msg: Message) -> None:
-        try:
-            self._deliver(msg)
-        finally:
-            self._advance_chain(key)
+        self.sim.post_at(deliver_at, self._deliver, msg)
 
     # ------------------------------------------------------------------
     # lifecycle (driven by ServiceCluster)
@@ -561,7 +465,7 @@ class NodeService:
 
 
 class ServiceCluster:
-    """Topology lifecycle: bring services up, expose busyness, tear down."""
+    """Topology lifecycle: bring services up, tear down."""
 
     def __init__(self, sim: NetSimulator, network: SocketNetwork) -> None:
         self.sim = sim
@@ -577,9 +481,6 @@ class ServiceCluster:
         }
         network._attach(self.transport, services)
         network.proxy.start(self.transport)
-
-    def busy(self) -> bool:
-        return self.network.busy()
 
     async def stop(self) -> None:
         network = self.network

@@ -108,6 +108,13 @@ class TcpTransport:
             if dst == name:
                 link.poke()
 
+    def teardown(self, action) -> None:
+        """Run one best-effort teardown step; count, not raise, failures."""
+        try:
+            action()
+        except Exception:
+            self.counters["teardown_errors"] += 1
+
     def summary(self) -> dict:
         """The transport block of a socket run's metrics."""
         return {
@@ -115,6 +122,7 @@ class TcpTransport:
             "host": self.config.host,
             "nodes": len(self.endpoints),
             "links": len(self.links),
+            "teardown_errors": 0,
             **{
                 key: int(value)
                 for key, value in sorted(self.counters.items())
@@ -187,10 +195,7 @@ class Endpoint:
             pass
         finally:
             self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            transport.teardown(writer.close)
 
     def _on_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
         transport = self.transport
@@ -376,10 +381,7 @@ class Link:
 
     def _on_disconnect(self) -> None:
         if self.writer is not None:
-            try:
-                self.writer.transport.abort()
-            except Exception:
-                pass
+            self.transport.teardown(self.writer.transport.abort)
             self.writer = None
         self.conn_in_transit = 0
         self._wake.set()
@@ -420,8 +422,5 @@ class Link:
             if task is not None:
                 task.cancel()
         if self.writer is not None:
-            try:
-                self.writer.transport.abort()
-            except Exception:
-                pass
+            self.transport.teardown(self.writer.transport.abort)
             self.writer = None

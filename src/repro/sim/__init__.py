@@ -6,22 +6,16 @@ with configurable latency/loss/duplication, execution traces, and fault
 injection.  All higher substrates (:mod:`repro.coord`, :mod:`repro.storm`,
 :mod:`repro.bloom`) run on top of it.
 
-Two kernels implement the same scheduling semantics: the high-throughput
-default (:mod:`repro.sim.events`) and the seed scheduler retained as the
-executable reference (:mod:`repro.sim.events_ref`).  ``REPRO_SIM_KERNEL``
-selects between them through :func:`make_simulator`; the differential
-suite in ``tests/sim/test_kernel_equivalence.py`` holds them to identical
-traces.
+One kernel ships: :mod:`repro.sim.events`, which
+:func:`make_simulator` builds (or, inside a socket-backend scope, its
+wall-clock-paced subclass :class:`repro.net.services.NetSimulator`).  The
+seed scheduler survives as the executable test reference
+(:mod:`repro.sim.events_ref`); the differential suite in
+``tests/sim/test_kernel_equivalence.py`` installs it in place of the
+kernel and holds the two to identical traces.
 """
 
-from repro.sim.events import (
-    KERNELS,
-    EventHandle,
-    Simulator,
-    Waker,
-    kernel_name,
-    make_simulator,
-)
+from repro.sim.events import EventHandle, Simulator, Waker, make_simulator
 from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Message, Network, Process
 from repro.sim.profile import SimProfiler
@@ -31,8 +25,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "Waker",
-    "KERNELS",
-    "kernel_name",
     "make_simulator",
     "SimProfiler",
     "FailureInjector",

@@ -6,11 +6,10 @@ it): all randomness flows through the simulator's seeded
 :class:`random.Random`, and events scheduled at the same instant fire in
 schedule order, so a run is a pure function of its seed and workload.
 
-This kernel replaces the seed scheduler (retained verbatim as
-:mod:`repro.sim.events_ref`, selectable with ``REPRO_SIM_KERNEL=ref``)
-with three structural changes, none of which may alter observable
-behavior — the differential suite holds both kernels to byte-identical
-traces:
+This kernel replaces the seed scheduler (retained verbatim as the test
+reference :mod:`repro.sim.events_ref`) with three structural changes,
+none of which may alter observable behavior — the differential suite
+holds both kernels to byte-identical traces:
 
 * **pooled, slotted event records** — an event is a plain 4-slot list
   ``[time, seq, fn, args]``, recycled through a free pool once fired.
@@ -37,11 +36,14 @@ events only — cancelled records awaiting lazy removal are not pending
 Profiling (:mod:`repro.sim.profile`) attaches via
 :attr:`Simulator.profiler`; when detached the hot loop pays one ``None``
 check per event.
+
+The socket backend's :class:`~repro.net.services.NetSimulator` is this
+kernel paced by the wall clock, so both backends share one heap and one
+ordering guarantee.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Callable
 from heapq import heappop, heappush
@@ -52,8 +54,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "Waker",
-    "KERNELS",
-    "kernel_name",
     "make_simulator",
 ]
 
@@ -325,35 +325,18 @@ class Simulator:
 
 
 # ----------------------------------------------------------------------
-# kernel selection
+# substrate selection
 # ----------------------------------------------------------------------
-KERNELS = ("fast", "ref")
-
-
-def kernel_name() -> str:
-    """The kernel ``REPRO_SIM_KERNEL`` selects (``fast`` by default)."""
-    name = os.environ.get("REPRO_SIM_KERNEL", "fast")
-    if name not in KERNELS:
-        raise SimulationError(
-            f"unknown REPRO_SIM_KERNEL {name!r}; have {KERNELS}"
-        )
-    return name
-
-
 def make_simulator(seed: int = 0):
-    """Build a simulator on the kernel ``REPRO_SIM_KERNEL`` selects.
+    """Build the simulator every cluster substrate runs on.
 
     Every cluster substrate (:class:`~repro.bloom.cluster.BloomCluster`,
     :class:`~repro.storm.executor.StormCluster`) builds its simulator
-    here, so one environment variable flips a whole run — app, chaos
-    schedule, benchmarks — onto the reference kernel.  The differential
-    suite is exactly that flip plus a byte-compare of the traces.
-
-    A scoped socket backend (``repro.net.context.socket_backend``) takes
-    precedence over kernel selection: inside the ``with`` block this
-    funnel returns the wall-clock
-    :class:`~repro.net.services.NetSimulator` instead, and the whole run
-    lands on real TCP transport behind the same channel contract.
+    here.  Inside a scoped socket backend
+    (``repro.net.context.socket_backend``) this funnel returns the
+    wall-clock :class:`~repro.net.services.NetSimulator` instead, and the
+    whole run lands on real TCP transport behind the same channel
+    contract.
     """
     from repro.net.context import active_config
 
@@ -362,10 +345,6 @@ def make_simulator(seed: int = 0):
         from repro.net.services import NetSimulator
 
         sim = NetSimulator(seed=seed, config=net_config)
-    elif kernel_name() == "ref":
-        from repro.sim import events_ref
-
-        sim = events_ref.Simulator(seed=seed)
     else:
         sim = Simulator(seed=seed)
     # Attach the active telemetry hub (repro.obs), when one is scoped —

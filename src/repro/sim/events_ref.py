@@ -5,13 +5,15 @@ scheduled action allocates an :class:`EventHandle`, the heap orders handles
 by ``(time, seq)`` through Python-level ``__lt__`` calls, and callers pass
 zero-argument closures.  It is deliberately simple and deliberately slow.
 
-The production kernel lives in :mod:`repro.sim.events`; selecting
-``REPRO_SIM_KERNEL=ref`` routes every simulator built through
-:func:`repro.sim.events.make_simulator` onto this one instead.  The
-differential suite (``tests/sim/test_kernel_equivalence.py``) runs every
-registered app under both kernels and requires byte-identical traces, so
-any observable divergence in the fast kernel fails loudly against this
-file.  Keep the scheduling semantics here frozen: events fire in
+The production kernel lives in :mod:`repro.sim.events`; nothing in the
+shipped runtime builds this one.  It is the test reference: the
+differential suite (``tests/sim/test_kernel_equivalence.py``) installs it
+as ``repro.sim.events.Simulator``, so every simulator
+:func:`~repro.sim.events.make_simulator` builds is this kernel, runs
+every registered app under both kernels, and requires byte-identical
+traces — any observable divergence in the fast kernel fails loudly
+against this file.  ``benchmarks/bench_simcore_scaling.py`` constructs it
+directly for its kernel-vs-kernel storm.  Keep the scheduling semantics here frozen: events fire in
 ``(time, seq)`` order, cancelled events are skipped without counting as
 fired, ``until`` bounds virtual time, ``max_events`` bounds firings.
 

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
+import repro
 from repro.chaos.harnesses import harness_for
-from repro.exec import CACHE_SCHEMA_VERSION, CellCache, read_engine_stats
-from repro.exec.cache import kwargs_digest, record_engine_stats, schedule_digest
+from repro.exec import CACHE_SCHEMA_VERSION, CellCache, cache, read_engine_stats
+from repro.exec.cache import (
+    kwargs_digest,
+    record_engine_stats,
+    schedule_digest,
+    source_fingerprint,
+)
 
 FIELDS = {"kind": "test", "app": "wordcount", "strategy": "sealed", "seed": 7}
 
@@ -22,6 +30,30 @@ def test_key_is_stable_and_field_sensitive(tmp_path):
         ("kind", "other"),
     ):
         assert cache.key({**FIELDS, field: changed}) != key, field
+
+
+def test_source_edit_changes_fingerprint_and_misses(tmp_path, monkeypatch):
+    """Keys cover the code: an edited module orphans every cached cell."""
+    package = Path(repro.__file__).parent
+    pristine, edited = tmp_path / "pristine", tmp_path / "edited"
+    for copy in (pristine, edited):
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+    module = edited / "chaos" / "oracle.py"
+    module.write_text(module.read_text() + "\n# an edit\n")
+    assert source_fingerprint(pristine) == source_fingerprint()
+    assert source_fingerprint(edited) != source_fingerprint()
+
+    store = CellCache(tmp_path / "cache")
+    key = store.key(FIELDS)
+    store.put(key, {"score": 1}, wall_seconds=0.1)
+    assert store.get(key) is not None
+    monkeypatch.setattr(
+        cache, "source_fingerprint", lambda: source_fingerprint(edited)
+    )
+    assert store.key(FIELDS) != key
+    assert store.get(store.key(FIELDS)) is None
 
 
 def test_put_get_roundtrip_counts_hits_and_misses(tmp_path):

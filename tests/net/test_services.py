@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import SimulationError
@@ -88,6 +90,55 @@ def test_cancelled_timer_does_not_fire():
     assert sim.pending == 1
     sim.run()
     assert fired == ["yes"]
+
+
+def test_same_instant_events_fire_in_post_order():
+    """One virtual instant fires in post order, including events posted
+    from inside earlier callbacks — the ordering guarantee the socket
+    backend shares with the DES kernel."""
+    sim, net = build()
+    net.register(Recorder("a"))
+    order = []
+
+    def nest(tag):
+        sim.post_at(0.05, order.append, tag)
+
+    expected = []
+    for index in range(20):
+        sim.post_at(0.05, order.append, index)
+        expected.append(index)
+    sim.schedule_at(0.05, lambda: order.append("handle"))
+    expected.append("handle")
+    for index, at in enumerate((0.01, 0.02, 0.03)):
+        sim.post(at, nest, f"nested-{index}")
+        expected.append(f"nested-{index}")
+    sim.run()
+    assert order == expected
+
+
+class LateScheduler(Recorder):
+    """Schedules at absolute time 0.0 once the wall clock has moved on."""
+
+    def __init__(self, name, fired):
+        super().__init__(name)
+        self.fired = fired
+        self.handle = None
+
+    def on_start(self):
+        time.sleep(0.01)  # the wall clock passes virtual 0.02
+        self.sim.post_at(0.0, self.fired.append, "post_at")
+        self.handle = self.sim.schedule_at(0.0, lambda: self.fired.append("at"))
+
+
+def test_past_absolute_time_fires_at_once():
+    sim, net = build()
+    fired = []
+    late = net.register(LateScheduler("a", fired))
+    net.start()
+    sim.run()
+    assert fired == ["post_at", "at"]
+    # clamped to the wall clock's virtual time, not pushed into the past
+    assert late.handle.time >= 0.02
 
 
 def test_negative_delay_rejected():

@@ -7,8 +7,12 @@ relative to the chaos proxy's actuation poll.
 
 from __future__ import annotations
 
+import asyncio
+import types
+
 from repro.net.context import NetConfig
 from repro.net.services import NetSimulator
+from repro.net.transport import TcpTransport
 from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Process, make_network
 
@@ -151,3 +155,23 @@ def test_loss_window_compiled_to_wall_clock():
     sim.run()
     assert 0 < len(b.got) < 30
     assert net.dropped == 30 - len(b.got)
+
+
+def test_teardown_errors_are_counted():
+    """A failing teardown step is counted in the summary, not swallowed."""
+    _, net = build()
+
+    class BrokenSocket:
+        def abort(self):
+            raise RuntimeError("abort failed")
+
+    async def scenario():
+        transport = TcpTransport(net, CFG)
+        link = transport.link("a", "b")
+        link.writer = types.SimpleNamespace(transport=BrokenSocket())
+        link._on_disconnect()
+        await link.close()
+        return transport.summary()
+
+    summary = asyncio.run(scenario())
+    assert summary["teardown_errors"] == 1

@@ -6,7 +6,9 @@ instead of handle objects, batch-pop instead of per-event bookkeeping,
 wakers instead of guard flags.  These tests are the proof obligation —
 every registered app, under every strategy, across several seeds, must
 produce **identical** traces, virtual times, event counts, committed
-state, and oracle verdicts under both ``REPRO_SIM_KERNEL`` values.
+state, and oracle verdicts under both kernels.  The reference is
+installed by swapping it in as ``repro.sim.events.Simulator``, the class
+:func:`~repro.sim.events.make_simulator` builds.
 
 Any observable divergence means the fast kernel changed scheduling
 semantics (event order, RNG draw sequence, or bound handling) and fails
@@ -15,7 +17,6 @@ here before it can silently perturb a figure or an audit cell.
 
 from __future__ import annotations
 
-import os
 import random
 from contextlib import contextmanager
 
@@ -32,24 +33,21 @@ from repro.chaos.schedule import (
     Reorder,
     baseline,
 )
-from repro.sim import KERNELS
+from repro.sim import events, events_ref
 
 SEEDS = (1, 2, 3)
+KERNELS = {"fast": events.Simulator, "ref": events_ref.Simulator}
 
 
 @contextmanager
 def kernel(name: str):
-    """Select a sim kernel for the enclosed block via the environment."""
-    assert name in KERNELS
-    previous = os.environ.get("REPRO_SIM_KERNEL")
-    os.environ["REPRO_SIM_KERNEL"] = name
+    """Install one kernel as the class ``make_simulator`` builds."""
+    previous = events.Simulator
+    events.Simulator = KERNELS[name]
     try:
         yield
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_KERNEL", None)
-        else:
-            os.environ["REPRO_SIM_KERNEL"] = previous
+        events.Simulator = previous
 
 
 def _fingerprint(cluster, metrics=None) -> dict:
