@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
+from operator import itemgetter
 
 from repro.api import BlazesApp, register
 from repro.apps.queries import CLICK_SCHEMA, ORDER_TOPIC, CacheTier, make_report_module
@@ -189,10 +191,13 @@ class AdServer(Process):
                 for task in self.assignment.tasks_of(name)
             }
         self._entries = self._plan_entries(campaigns, seed, interleave)
-        self._last_index = {
+        last_index = {
             row[seal_column]: position
             for position, row in enumerate(self._entries)
         }
+        # partitions in the order their final records are emitted
+        self._seal_order = sorted(last_index, key=last_index.__getitem__)
+        self._seal_positions = sorted(last_index.values())
         self._cursor = 0
         self.sent = 0
 
@@ -244,6 +249,8 @@ class AdServer(Process):
             rows = list(batch)
             for node in self.report_nodes:
                 self.send(node, INSERT_MSG, ("click", rows))
+        elif self.workload.frames and self._producers:
+            self._send_frames(batch)
         else:
             for row in batch:
                 self._dispatch(row)
@@ -265,12 +272,33 @@ class AdServer(Process):
 
     def _partition_boundaries(self, start: int, end: int) -> list:
         """Seal partitions whose final record lies within [start, end)."""
-        done = []
-        for position in range(start, end):
-            partition = self._entries[position][self.seal_column]
-            if self._last_index[partition] == position:
-                done.append(partition)
-        return done
+        positions = self._seal_positions
+        first = bisect_left(positions, start)
+        return self._seal_order[first:bisect_left(positions, end, first)]
+
+    def _send_frames(self, batch: list[tuple]) -> None:
+        """Framed seal dispatch: one ``send_batch`` per (node, task).
+
+        Routing is per partition, not per row: ``task_for`` runs once
+        for each distinct partition of the burst.  Every producer's
+        frame is empty when a burst starts (bursts end with a flush) and
+        its frame size is the burst size, so a frame can only fill
+        mid-burst when the whole burst routes to one task; sending node
+        by node then flushes in the order the row-major loop did, which
+        keeps replay identical to :meth:`_dispatch` per row.
+        """
+        column = self.seal_column
+        items = [(row[column], row) for row in batch]
+        task_of = {
+            partition: self.assignment.task_for(self.name, partition)
+            for partition in dict.fromkeys(map(itemgetter(0), items))
+        }
+        groups: dict[str, list] = {}
+        for item in items:
+            groups.setdefault(task_of[item[0]], []).append(item)
+        for node in self.report_nodes:
+            for task, group in groups.items():
+                self._producers[(node, task)].send_batch(node, group)
 
     def _dispatch(self, row: tuple) -> None:
         if self.strategy == "uncoordinated":

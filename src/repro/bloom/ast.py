@@ -31,7 +31,9 @@ already assumes this (it re-invokes them every fixpoint iteration).
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
+from operator import itemgetter
 
 from repro.errors import BloomError
 
@@ -100,6 +102,22 @@ class DeltaContext:
         if st is None:
             st = self._state[id(node)] = {}
         return st
+
+
+def _keys(rows, key_cols: list[int]) -> list[tuple]:
+    """The key tuple of every row, in ``rows``' iteration order.
+
+    Keys are built C-side by ``itemgetter`` over the whole batch instead
+    of one generator-built tuple per row (a one-column getter returns
+    the bare value, so that case zips it back into 1-tuples).
+    """
+    if not rows:
+        return []
+    if not key_cols:
+        return [()] * len(rows)
+    if len(key_cols) == 1:
+        return list(zip(map(itemgetter(key_cols[0]), rows)))
+    return list(map(itemgetter(*key_cols), rows))
 
 
 def _index_add(index: dict, rows, key_cols: list[int]) -> None:
@@ -710,38 +728,57 @@ class GroupBy(Node):
                      None if col is None else self.child._index(col))
                     for _out, agg_name, col in self.aggs
                 ],
-                # ``count`` is the one aggregate with an O(1) streaming
-                # form: the bucket is a set, so the count IS len(bucket)
-                # — exact under duplicates and retractions alike.  Other
-                # aggregates (notably float ``sum``) stay on the
-                # re-aggregate path: an incremental accumulator would
-                # drift from the naive engine's recompute.
+                # ``count`` is the one aggregate with an exact streaming
+                # form: a per-key integer count of child rows, exact
+                # under retractions because child deltas are exact.
+                # Other aggregates (notably float ``sum``) keep a set of
+                # child rows per key and re-aggregate touched groups: an
+                # incremental accumulator would drift from the naive
+                # engine's recompute.
                 all(agg_name == "count" for _out, agg_name, _col in self.aggs),
             )
         key_idx, agg_fns, count_only = cols
-        groups = st.setdefault("groups", {})   # key -> set of child rows
         out_rows = st.setdefault("out", {})    # key -> current output row
-        # only rows of *touched* groups are re-aggregated; untouched
-        # groups keep their materialized output row
-        touched = set()
-        for row in child_added:
-            key = tuple(row[i] for i in key_idx)
-            groups.setdefault(key, set()).add(row)
-            touched.add(key)
-        for row in child_removed:
-            key = tuple(row[i] for i in key_idx)
-            bucket = groups.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-            touched.add(key)
+        added_keys = _keys(child_added, key_idx)
+        removed_keys = _keys(child_removed, key_idx)
+        # only *touched* groups are re-aggregated; untouched groups keep
+        # their materialized output row
+        touched = set(added_keys)
+        touched.update(removed_keys)
+        if count_only:
+            counts = st.get("counts")
+            if counts is None:
+                counts = st["counts"] = Counter()
+            if added_keys:
+                counts.update(added_keys)
+            if removed_keys:
+                counts.subtract(removed_keys)
+        else:
+            groups = st.setdefault("groups", {})   # key -> set of child rows
+            for key, row in zip(added_keys, child_added):
+                groups.setdefault(key, set()).add(row)
+            for key, row in zip(removed_keys, child_removed):
+                bucket = groups.get(key)
+                if bucket is not None:
+                    bucket.discard(row)
         added, removed = set(), set()
         for key in touched:
-            rows = groups.get(key)
             old = out_rows.get(key)
-            if rows:
-                if count_only:
-                    new = key + (len(rows),) * len(agg_fns)
+            if count_only:
+                count = counts[key]
+                if count < 0:
+                    raise BloomError(
+                        f"group_by count for key {key!r} went negative: a "
+                        f"delta removed a row the group never held"
+                    )
+                if count:
+                    new = key + (count,) * len(agg_fns)
                 else:
+                    new = None
+                    del counts[key]
+            else:
+                rows = groups.get(key)
+                if rows:
                     values = []
                     for fn, col in agg_fns:
                         if col is None:
@@ -749,9 +786,9 @@ class GroupBy(Node):
                         else:
                             values.append(fn([row[col] for row in rows]))
                     new = key + tuple(values)
-            else:
-                new = None
-                groups.pop(key, None)
+                else:
+                    new = None
+                    groups.pop(key, None)
             if new != old:
                 if old is not None:
                     removed.add(old)

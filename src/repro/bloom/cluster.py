@@ -74,7 +74,7 @@ class BloomNode(Process):
             self.schedule_tick()
         elif msg.kind == INSERT_MSG:
             collection, rows = msg.payload
-            self.insert(collection, [tuple(r) for r in rows])
+            self.insert(collection, rows)
         else:
             raise BloomError(f"node {self.name} got unexpected message {msg.kind}")
 

@@ -88,3 +88,15 @@ class CollectionDecl:
                 f"{self.columns}, got {values!r}"
             )
         return values
+
+    def check_rows(self, rows: Iterable[Iterable]) -> list[tuple]:
+        """:meth:`check_arity` for a whole batch: one length check.
+
+        Rows convert to tuples (JSON-decoded rows arrive as lists); on a
+        mismatch the first bad row raises :meth:`check_arity`'s error.
+        """
+        values = list(map(tuple, rows))
+        if set(map(len, values)) != {len(self.schema)}:
+            for row in values:
+                self.check_arity(row)
+        return values

@@ -89,7 +89,7 @@ class OrderedInputAdapter:
             return
         self._draining = True
         collection, row = self._queue.popleft()
-        self.node.insert(collection, [tuple(row)])
+        self.node.insert(collection, [row])
         self.applied += 1
         # the tick for this value fires at tick_delay; release the next
         # one strictly after it so no two sequenced values share a step
@@ -140,7 +140,7 @@ class SealedInputAdapter:
         return self.manager.handle(msg)
 
     def _release(self, partition, records: list) -> None:
-        self.node.insert(self.collection, [tuple(r) for r in records])
+        self.node.insert(self.collection, records)
         self.released_partitions += 1
 
 

@@ -148,9 +148,9 @@ class BloomRuntime:
         decl = self.module.declaration(collection)
         if decl.kind is CollectionKind.OUTPUT:
             raise BloomError(f"cannot insert into output interface {collection!r}")
-        pending = self._pending_inserts.setdefault(collection, set())
-        for row in rows:
-            pending.add(decl.check_arity(row))
+        self._pending_inserts.setdefault(collection, set()).update(
+            decl.check_rows(rows)
+        )
 
     def deliver(self, channel: str, row: tuple) -> None:
         """A network delivery into a channel (visible next timestep)."""
@@ -241,14 +241,12 @@ class BloomRuntime:
                 removed = frozenset(current - new_rows)
                 self.storage[name] = new_rows
             else:
-                deletes = self._pending_deletes.get(name, ())
-                inserts = self._pending_inserts.get(name, ())
+                deletes = self._pending_deletes.get(name) or frozenset()
+                inserts = self._pending_inserts.get(name) or frozenset()
                 if not deletes and not inserts:
                     continue
-                removed = frozenset(
-                    row for row in deletes if row in current and row not in inserts
-                )
-                added = frozenset(row for row in inserts if row not in current)
+                removed = frozenset((deletes & current) - inserts)
+                added = frozenset(inserts - current)
                 current -= removed
                 current |= added
             if added or removed:
@@ -515,14 +513,11 @@ class _IncrementalEngine:
                         produced = state.out
                     if not produced:
                         continue
-                    target = storage[state.info.lhs]
-                    fresh = staging.get(state.info.lhs)
-                    check_arity = state.info.decl.check_arity
-                    for row in produced:
-                        if row not in target:
-                            if fresh is None:
-                                fresh = staging.setdefault(state.info.lhs, set())
-                            fresh.add(check_arity(row))
+                    fresh = produced - storage[state.info.lhs]
+                    if fresh:
+                        staging.setdefault(state.info.lhs, set()).update(
+                            state.info.decl.check_rows(fresh)
+                        )
                 # wave boundary: publish this wave's additions at once,
                 # exactly like the naive engine's per-iteration snapshot
                 self._clock += 1
@@ -540,8 +535,7 @@ class _IncrementalEngine:
             rule = state.info.rule
             if rule.deferred:
                 pending = rt._pending_inserts.setdefault(rule.lhs, set())
-                check_arity = state.info.decl.check_arity
-                pending.update(check_arity(row) for row in state.out)
+                pending.update(state.info.decl.check_rows(state.out))
             elif rule.deletion:
                 pending = rt._pending_deletes.setdefault(rule.lhs, set())
                 pending.update(tuple(row) for row in state.out)

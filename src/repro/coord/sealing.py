@@ -25,7 +25,8 @@ is derived from the actual replica layout by
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.coord.ordering import OrderedInbox
@@ -40,6 +41,7 @@ PUNCT = "seal.punct"
 FRAME = "seal.frame"
 
 _SEAL_MARK = object()
+_partition_of = itemgetter(0)
 _FRAME_MARK = object()
 
 Partition = Hashable
@@ -95,23 +97,45 @@ class SealedStreamProducer:
 
     def send_record(self, dst: str, partition: Partition, record: Any) -> None:
         """Send one data record within a partition."""
-        if partition in self._sealed:
+        self.send_batch(dst, ((partition, record),))
+
+    def send_batch(
+        self, dst: str, items: Sequence[tuple[Partition, Any]]
+    ) -> None:
+        """Send ordered ``(partition, record)`` pairs to one destination.
+
+        Equivalent to calling :meth:`send_record` on each pair in turn —
+        same messages, same frame boundaries, same channel sequence
+        numbers — but the sealed-partition check and the open-set update
+        run once per batch, and framed records slice into the buffer.  A
+        batch touching an already-sealed partition raises before anything
+        is sent, naming the first such partition in batch order.
+        """
+        partitions = set(map(_partition_of, items))
+        if not partitions.isdisjoint(self._sealed):
+            partition = next(p for p, _ in items if p in self._sealed)
             raise SimulationError(
                 f"producer {self.producer_id} already sealed partition "
                 f"{partition!r} on stream {self.stream}"
             )
-        self._open.add(partition)
-        if self.frame_size > 1:
+        self._open.update(partitions)
+        if self.frame_size == 1:
+            for partition, record in items:
+                self.process.send(
+                    dst,
+                    DATA,
+                    (self.stream, self._next_seq(dst), partition, record,
+                     self.producer_id),
+                )
+            return
+        start = 0
+        while start < len(items):
             frame = self._frames.setdefault(dst, [])
-            frame.append((partition, record))
+            stop = start + self.frame_size - len(frame)
+            frame.extend(items[start:stop])
+            start = stop
             if len(frame) >= self.frame_size:
                 self.flush(dst)
-            return
-        self.process.send(
-            dst,
-            DATA,
-            (self.stream, self._next_seq(dst), partition, record, self.producer_id),
-        )
 
     def flush(self, dst: str | None = None) -> None:
         """Ship any buffered frame (all destinations when ``dst`` is None)."""
@@ -238,8 +262,7 @@ class SealManager:
         if record is _SEAL_MARK:
             self.on_seal(partition, producer)
         elif partition is _FRAME_MARK:
-            for part, rec in record:
-                self.on_data(part, rec, producer)
+            self.on_frame(record, producer)
         else:
             self.on_data(partition, record, producer)
 
@@ -251,6 +274,37 @@ class SealManager:
             return
         self._buffers.setdefault(partition, []).append(record)
         self._ensure_producer_set(partition)
+
+    def on_frame(
+        self, items: Iterable[tuple[Partition, Any]], producer: str
+    ) -> None:
+        """Buffer a frame's ``(partition, record)`` pairs.
+
+        The same effect as :meth:`on_data` per item: records append to
+        their partition's buffer in frame order, producer-set lookups go
+        out in first-appearance order, and records for already-released
+        partitions count as late.  Buffering never releases a partition
+        (only seals and registry replies do), so the frame is grouped by
+        partition first and each partition's buffer is touched once.
+        """
+        groups: dict[Partition, list[Any]] = {}
+        for partition, record in items:
+            group = groups.get(partition)
+            if group is None:
+                groups[partition] = [record]
+            else:
+                group.append(record)
+        buffers = self._buffers
+        for partition, records in groups.items():
+            if partition in self.released:
+                self.late_records += len(records)
+                continue
+            buffered = buffers.get(partition)
+            if buffered is None:
+                buffers[partition] = records
+            else:
+                buffered.extend(records)
+            self._ensure_producer_set(partition)
 
     def on_seal(self, partition: Partition, producer: str) -> None:
         """Record one producer's punctuation and release if unanimous."""

@@ -9,8 +9,9 @@ aggregates that land in persistent targets) and the boundary semantics of
 
 * seeded-random *programs*: a generator builds random rule sets over
   every operator (scan/project/calc/select/join/antijoin/groupby/union/
-  const, all four merge ops), skips unstratifiable draws, and drives both
-  engines through a random multi-tick input schedule;
+  const, all four merge ops; groupby over one- and two-column keys with
+  single and multiple aggregates), skips unstratifiable draws, and drives
+  both engines through a random multi-tick input schedule;
 * hypothesis-random *schedules* over a fixed adversarial module that
   mixes recursion, aggregation, antijoin, deferred copy, and deletion.
 
@@ -48,6 +49,11 @@ def _calc_sum(a, b) -> int:
 
 _PREDICATES = (_pred_even, _pred_le)
 _AGGS = ("count", "sum", "min", "max")
+_MULTI_AGGS = (
+    [("n", "count", None)],
+    [("n", "count", None), ("m", "count", None)],
+    [("n", "count", None), ("m", "sum", "b")],
+)
 
 
 class RandomModule(BloomModule):
@@ -112,6 +118,16 @@ class RandomModule(BloomModule):
             return self.notin(left, right, on=on)
         if kind == "groupby":
             child = self._tree(rng, depth - 1)
+            if rng.random() < 0.5:
+                # one- or two-column keys under several aggregates: one
+                # or two counts run the per-key counter path, count+sum
+                # the set path; two output columns project back to
+                # arity 2
+                keys = rng.choice((["a"], ["a", "b"]))
+                aggs = rng.choice(_MULTI_AGGS)
+                grouped = self.group_by(child, keys, aggs)
+                first, second = rng.sample(grouped.schema, 2)
+                return self.project(grouped, [(first, "a"), (second, "b")])
             agg = rng.choice(_AGGS)
             col = None if agg == "count" else "b"
             # a monotone hint exempts the aggregate from stratification,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bloom.ast import DeltaContext, GroupBy, Scan
+from repro.bloom.collections import CollectionDecl, CollectionKind
 from repro.bloom.module import BloomModule
 from repro.bloom.runtime import BloomRuntime
 from repro.errors import BloomError
@@ -257,3 +259,36 @@ def test_noop_tick_never_skipped_with_end_of_step_rules():
     runtime = BloomRuntime(DeferredModule())
     assert not runtime.tick_is_noop  # <+ / <- rules emit every tick
     assert not runtime.skip_noop_tick()
+
+
+# ----------------------------------------------------------------------
+# batch arity checks and the count-only aggregation invariant
+# ----------------------------------------------------------------------
+def test_check_rows_raises_check_arity_error_for_first_bad_row():
+    decl = CollectionDecl("edge", CollectionKind.TABLE, ("src", "dst"))
+    with pytest.raises(BloomError) as batch:
+        decl.check_rows([(1, 2), (3,), (4, 5, 6)])
+    with pytest.raises(BloomError) as single:
+        decl.check_arity((3,))
+    assert str(batch.value) == str(single.value)
+
+
+def test_list_rows_are_stored_as_tuples():
+    # the socket backend's JSON decode delivers rows as lists
+    runtime = BloomRuntime(PathModule())
+    runtime.insert("edge", [[1, 2], [2, 3]])
+    runtime.tick()
+    assert runtime.read("link") == {(1, 2), (2, 3)}
+    assert runtime.read("edge") == {(1, 2), (2, 3)}
+    for name in ("edge", "link"):
+        assert all(type(row) is tuple for row in runtime.storage[name])
+
+
+def test_count_group_rejects_removal_of_absent_row():
+    grouped = GroupBy(Scan("t", ("a", "b")), ["a"], [("n", "count", None)])
+    ctx = DeltaContext({"t": {(1, 2), (1, 3)}})
+    ctx.begin({})
+    assert grouped.eval_delta(ctx) == (frozenset({(1, 2)}), frozenset())
+    ctx.begin({"t": (frozenset(), frozenset({(7, 7)}))})
+    with pytest.raises(BloomError, match="went negative"):
+        grouped.eval_delta(ctx)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.coord import SealManager, SealedStreamProducer, ZkClient, install_zookeeper
@@ -200,3 +202,137 @@ def test_missing_registry_entry_raises():
 def test_manager_requires_exactly_one_registry_mode():
     with pytest.raises(SimulationError):
         SealManager("s", lambda p, r: None)
+
+
+# ----------------------------------------------------------------------
+# batch paths: send_batch and on_frame against their per-item forms
+# ----------------------------------------------------------------------
+class Recorder:
+    """A stand-in process that records every message it is asked to send."""
+
+    def __init__(self, name="p0"):
+        self.name = name
+        self.sent: list[tuple[str, str, object]] = []
+
+    def send(self, dst, kind, payload):
+        self.sent.append((dst, kind, payload))
+
+
+def _producer_script(rng: random.Random) -> list[tuple]:
+    """Random batches, seals and flushes over a shrinking partition pool."""
+    pool = [f"k{i}" for i in range(6)]
+    script = []
+    record = 0
+    while pool:
+        roll = rng.random()
+        dst = rng.choice(("d0", "d1"))
+        if roll < 0.7:
+            items = []
+            for _ in range(rng.randrange(0, 9)):
+                items.append((rng.choice(pool), record))
+                record += 1
+            script.append(("batch", dst, items))
+        elif roll < 0.85:
+            partition = pool.pop(rng.randrange(len(pool)))
+            script.append(("seal", dst, partition))
+        else:
+            script.append(("flush", dst, None))
+    script.append(("flush", None, None))
+    return script
+
+
+@pytest.mark.parametrize("frame_size", (1, 3, 250))
+@pytest.mark.parametrize("seed", range(5))
+def test_send_batch_matches_send_record_loop(frame_size, seed):
+    script = _producer_script(random.Random(f"send-batch:{seed}"))
+    looped, batched = Recorder(), Recorder()
+    by_record = SealedStreamProducer(looped, "c", frame_size=frame_size)
+    by_batch = SealedStreamProducer(batched, "c", frame_size=frame_size)
+    for op, dst, arg in script:
+        if op == "batch":
+            for partition, record in arg:
+                by_record.send_record(dst, partition, record)
+            by_batch.send_batch(dst, arg)
+        elif op == "seal":
+            by_record.seal(dst, arg)
+            by_batch.seal(dst, arg)
+        else:
+            by_record.flush(dst)
+            by_batch.flush(dst)
+    assert batched.sent == looped.sent
+    assert looped.sent  # the script did send something
+    assert by_batch.sealed_partitions == by_record.sealed_partitions
+
+
+def test_send_batch_rejects_sealed_partition_like_send_record():
+    items = [("k2", 1), ("k1", 2), ("k3", 3)]
+    errors = []
+    for batched in (False, True):
+        producer = SealedStreamProducer(Recorder(), "c", frame_size=3)
+        producer.seal("d0", "k3")
+        producer.seal("d0", "k1")
+        with pytest.raises(SimulationError) as caught:
+            if batched:
+                producer.send_batch("d0", items)
+            else:
+                for partition, record in items:
+                    producer.send_record("d0", partition, record)
+        errors.append(str(caught.value))
+    # both name the first sealed partition in send order
+    assert errors[0] == errors[1]
+    assert "'k1'" in errors[0]
+
+
+class RecordingZk:
+    """A stand-in registry client: records lookups, answers on demand."""
+
+    def __init__(self):
+        self.paths: list[str] = []
+        self.callbacks: dict[str, object] = {}
+
+    def get_znode(self, path, callback):
+        self.paths.append(path)
+        self.callbacks[path] = callback
+
+
+def _manager():
+    zk = RecordingZk()
+    released = []
+    manager = SealManager(
+        "c", lambda partition, records: released.append(partition), zk_client=zk
+    )
+    return manager, zk, released
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_on_frame_matches_per_item_on_data(seed):
+    rng = random.Random(f"on-frame:{seed}")
+    partitions = ["done", "k0", "k1", "k2", "k3"]
+    frames = [
+        [(rng.choice(partitions), index * 10 + n) for n in range(rng.randrange(1, 12))]
+        for index in range(8)
+    ]
+    states = []
+    for batched in (False, True):
+        manager, zk, released = _manager()
+        # release one partition first, so later frames carry late items
+        manager.on_data("done", "early", "p0")
+        zk.callbacks["producers/'done'"](["p0"])
+        manager.on_seal("done", "p0")
+        assert released == ["done"]
+        for frame in frames:
+            if batched:
+                manager.on_frame(frame, "p0")
+            else:
+                for partition, record in frame:
+                    manager.on_data(partition, record, "p0")
+        states.append(
+            (
+                list(manager._buffers.items()),
+                manager.late_records,
+                manager.registry_lookups,
+                zk.paths,
+            )
+        )
+    assert states[0] == states[1]
+    assert states[0][1] > 0  # late items were exercised
